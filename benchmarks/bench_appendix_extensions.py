@@ -15,8 +15,8 @@ import numpy as np
 from repro.comm.message import MessageKind
 from repro.comm.party import VFLConfig, VFLContext
 from repro.core.federated_top import train_lr_with_ss_top
+from repro.core.matmul_layer import MatMulSource
 from repro.core.models import FederatedLR
-from repro.core.multiparty import MultiPartyMatMulSource
 from repro.core.trainer import TrainConfig, train_federated
 from repro.data.partition import split_vertical
 from repro.data.synthetic import make_dense_classification
@@ -72,13 +72,13 @@ def test_appendix_c_multiparty(benchmark, report):
         for m in (2, 3):
             ctx = VFLContext(VFLConfig(key_bits=KEY_BITS), seed=22, n_a_parties=m)
             dims = {name: 6 for name in ctx.a_names}
-            layer = MultiPartyMatMulSource(ctx, dims, in_b=6, out_dim=1)
+            layer = MatMulSource(ctx, dims, in_b=6, out_dim=1)
             x = {name: rng.normal(size=(16, 6)) for name in ctx.a_names}
             x["B"] = rng.normal(size=(16, 6))
             w0 = layer.reveal_weights()  # pre-update weights (test observer)
             timer = Timer()
             with timer:
-                z = layer.forward(x)
+                z = layer.forward(x, x["B"])
                 layer.backward(rng.normal(size=(16, 1)) * 0.01)
                 layer.apply_updates(lr=0.05, momentum=0.9)
             expected = sum(x[n] @ w0[f"W_{n}"] for n in ctx.a_names)

@@ -46,7 +46,7 @@ from repro.comm.fabric import run_federation
 from repro.comm.faults import FaultEvent, FaultPlan
 from repro.comm.party import VFLConfig, VFLContext
 from repro.comm.transport import ENV_OVERHEAD
-from repro.core.multiparty import MultiPartyLR
+from repro.core.models import MultiPartyLR
 from repro.obs import JsonlSink, Tracer, use_tracer
 from repro.obs import span as obs_span
 from repro.obs.collect import cross_role_overlap, merge_traces, read_jsonl_trace
@@ -117,7 +117,7 @@ def fabric_program(channel, steps, trace_dir):
                 losses.append(model.train_step(x, labels, lr=LR))
     return {
         "losses": losses,
-        "pieces": model.source.local_weight_pieces(),
+        "pieces": model.source.piece_views(),
     }
 
 
@@ -125,7 +125,7 @@ def _reference(steps: int):
     ctx, model = _build()
     x, y = _data()
     losses = [model.train_step(x, y, lr=LR) for _ in range(steps)]
-    return losses, model.source.local_weight_pieces()
+    return losses, model.source.piece_views()
 
 
 def _fabric_run(

@@ -11,7 +11,7 @@ Run:  python examples/multiparty_lr.py
 import numpy as np
 
 from repro.comm import VFLConfig, VFLContext
-from repro.core.multiparty import MultiPartyMatMulSource
+from repro.core import MatMulSource
 from repro.data import BatchLoader, make_dense_classification, split_vertical
 from repro.utils import roc_auc
 
@@ -25,9 +25,7 @@ def main() -> None:
     test_vd = split_vertical(test, party_names=names)
 
     ctx = VFLContext(VFLConfig(key_bits=128), seed=4, n_a_parties=2)
-    layer = MultiPartyMatMulSource(
-        ctx, in_dims={"A1": 6, "A2": 6}, in_b=6, out_dim=1, name="mp-lr"
-    )
+    layer = MatMulSource(ctx, {"A1": 6, "A2": 6}, in_b=6, out_dim=1, name="mp-lr")
 
     lr, momentum, epochs, batch_size = 0.1, 0.9, 3, 32
     rng = np.random.default_rng(0)
@@ -35,7 +33,7 @@ def main() -> None:
         losses = []
         for batch in BatchLoader(train_vd, batch_size, rng=rng):
             x = {n: batch.party(n).numeric_block() for n in names}
-            z = layer.forward(x)
+            z = layer.forward(x, x["B"])
             probs = 1.0 / (1.0 + np.exp(-z))
             y = batch.y.reshape(z.shape).astype(float)
             losses.append(
@@ -45,7 +43,7 @@ def main() -> None:
             layer.backward((probs - y) / y.shape[0])
             layer.apply_updates(lr, momentum)
         x_test = {n: test_vd.party(n).numeric_block() for n in names}
-        z_test = layer.forward(x_test, train=False)
+        z_test = layer.forward(x_test, x_test["B"], train=False)
         auc = roc_auc(test_vd.y, z_test.ravel())
         print(f"epoch {epoch + 1}: train loss {np.mean(losses):.4f}, test AUC {auc:.3f}")
 

@@ -9,7 +9,8 @@ implies — an endpoint **grid**:
 
 * each endpoint hosts one or more parties (its *placement*) and executes
   **only their side** of the protocol — remote statements never run here
-  (see :mod:`repro.core.multiparty` for the actor-guarded layers);
+  (see :class:`repro.core.matmul_layer.MatMulSource` for the actor-guarded
+  layer);
 * endpoints are wired by lazily-established duplex
   :class:`~repro.comm.transport.ReliableLink` s: the first send toward a
   peer dials it, pairs that never exchange traffic never connect;
@@ -913,7 +914,7 @@ def run_federation(
     The program contract differs between the modes: mirrored programs
     are written as the full interleaved protocol, fabric programs must
     guard each actor's statements (``ctx.is_local``) — see
-    :mod:`repro.core.multiparty`.
+    :class:`repro.core.matmul_layer.MatMulSource`.
     """
     topology = FabricTopology(roles)
     if mirror is None:

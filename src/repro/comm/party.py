@@ -46,7 +46,8 @@ class VFLConfig:
             Party B updates its plaintext piece — ``"reencrypt"`` resends
             the full encrypted tensor (faithful to Figure 6),
             ``"delta"`` sends only the encrypted update for coordinates
-            touched by the batch (the sparse-aware mode; see DESIGN.md §3).
+            touched by the batch (the sparse-aware mode; see ROADMAP.md,
+            *Source layers and Appendix C*).
         record_transcript: keep the full message transcript (the security
             tests need it; long benchmarks may disable it to save memory).
         channel: which in-process channel tier carries the protocol (see

@@ -8,13 +8,13 @@ from repro.core.federated_top import (
     train_lr_with_ss_top,
 )
 from repro.core.matmul_layer import MatMulSource
-from repro.core.multiparty import MultiPartyMatMulSource
 from repro.core.models import (
     FederatedDLRM,
     FederatedLR,
     FederatedMLP,
     FederatedMLR,
     FederatedWDL,
+    MultiPartyLR,
 )
 from repro.core.optimizer import FederatedSGD
 from repro.core.trainer import (
@@ -29,7 +29,6 @@ from repro.core.trainer import (
 __all__ = [
     "EmbedMatMulSource",
     "MatMulSource",
-    "MultiPartyMatMulSource",
     "IdealSSTop",
     "matmul_backward_from_shares",
     "train_lr_with_ss_top",
@@ -41,6 +40,7 @@ __all__ = [
     "FederatedMLP",
     "FederatedWDL",
     "FederatedDLRM",
+    "MultiPartyLR",
     "FederatedSGD",
     "History",
     "TrainConfig",

@@ -427,7 +427,7 @@ def save_endpoint_checkpoint(
 
     ``model`` is a fabric model holding a single
     :class:`~repro.comm.party.VFLContext` (e.g.
-    :class:`~repro.core.multiparty.MultiPartyLR`) whose
+    :class:`~repro.core.models.MultiPartyLR`) whose
     ``checkpoint_state()`` covers only this endpoint's local actors.
     ``losses`` is the per-step loss list (``None`` entries off Party B
     are dropped; the step counter alone reconstructs their count).

@@ -97,6 +97,12 @@ class EmbedMatMulSource(SourceLayer):
     ):
         if emb_dim <= 0 or out_dim <= 0 or not vocab_a or not vocab_b:
             raise ValueError("invalid Embed-MatMul dimensions")
+        if len(ctx.a_names) != 1:
+            raise ValueError(
+                f"Embed-MatMul is a two-party layer but the federation has "
+                f"{len(ctx.a_names)} Party A's; MatMulSource is the "
+                f"multi-A source layer"
+            )
         self.ctx = ctx
         self.name = name
         # Multicore execution engine for this layer's kernels; None falls

@@ -103,30 +103,30 @@ def matmul_backward_from_shares(
     # Lines 4-6: each party computes its encrypted gradient and shares it.
     from repro.core.matmul_layer import _t_matmul_cipher, t_matmul_any
 
-    enc_gw_a = _t_matmul_cipher(layer._a.x_cache, enc_gz_under_b)
+    sa, sb = layer._a[a.name], layer._b
+    enc_gw_a = _t_matmul_cipher(sa.x_cache, enc_gz_under_b)
     phi_a = he2ss_split(enc_gw_a, a, "B", ch, f"{tag}.gW_A", cfg.grad_mask_scale)
     gw_a_share = he2ss_receive(b, ch, f"{tag}.gW_A")
 
-    enc_gw_b = _t_matmul_cipher(layer._b.x_cache, enc_gz_under_a)
+    enc_gw_b = _t_matmul_cipher(sb.x_cache, enc_gz_under_a)
     phi_b = he2ss_split(enc_gw_b, b, "A", ch, f"{tag}.gW_B", cfg.grad_mask_scale)
     gw_b_share = he2ss_receive(a, ch, f"{tag}.gW_B")
 
     # Lines 7-8: complementary updates on all four pieces.
-    _momentum_update(layer._a.u, layer._a.vel_u, phi_a, lr, momentum, None)
+    _momentum_update(sa.u, sa.vel_u, phi_a, lr, momentum, None)
     _momentum_update(
-        layer._b.v_peer, layer._b.vel_v_peer, gw_a_share, lr, momentum, None
+        sb.v_a[a.name], sb.vel_v_a[a.name], gw_a_share, lr, momentum, None
     )
-    _momentum_update(layer._b.u, layer._b.vel_u, phi_b, lr, momentum, None)
-    _momentum_update(
-        layer._a.v_peer, layer._a.vel_v_peer, gw_b_share, lr, momentum, None
-    )
-    # Refresh both encrypted caches (V_A at A, V_B at B).
-    fresh_va = CryptoTensor.encrypt(b.public_key, layer._b.v_peer, obfuscate=True)
+    _momentum_update(sb.u, sb.vel_u, phi_b, lr, momentum, None)
+    _momentum_update(sa.v_b, sa.vel_v_b, gw_b_share, lr, momentum, None)
+    # Refresh both encrypted caches (V_A at A, V_B at B), per-element.
+    fresh_va = CryptoTensor.encrypt(b.public_key, sb.v_a[a.name], obfuscate=True)
     ch.send(b.name, a.name, f"{tag}.upd.encV_A", fresh_va, MessageKind.CIPHERTEXT)
-    layer._a.enc_v_own = ch.recv(a.name, f"{tag}.upd.encV_A")
-    fresh_vb = CryptoTensor.encrypt(a.public_key, layer._a.v_peer, obfuscate=True)
+    sa.enc_v_own = ch.recv(a.name, f"{tag}.upd.encV_A")
+    sb.packed[a.name] = False
+    fresh_vb = CryptoTensor.encrypt(a.public_key, sa.v_b, obfuscate=True)
     ch.send(a.name, b.name, f"{tag}.upd.encV_B", fresh_vb, MessageKind.CIPHERTEXT)
-    layer._b.enc_v_own = ch.recv(b.name, f"{tag}.upd.encV_B")
+    sb.enc_v_b[a.name] = ch.recv(b.name, f"{tag}.upd.encV_B")
 
 
 def train_lr_with_ss_top(

@@ -29,6 +29,7 @@ __all__ = [
     "FederatedMLP",
     "FederatedWDL",
     "FederatedDLRM",
+    "MultiPartyLR",
 ]
 
 
@@ -206,3 +207,73 @@ class FederatedDLRM(_SourceBacked):
         emb_leaf = self._leaf(self.emb_arm, z_emb, train)
         interaction = dense_leaf * emb_leaf
         return self.top(Tensor.concat([dense_leaf, emb_leaf, interaction], axis=1))
+
+
+class MultiPartyLR:
+    """Logistic regression over M Party A's + Party B (Appendix C).
+
+    A thin wrapper around a :class:`MatMulSource` with one input dim per A
+    party and a bias term at Party B, run with :meth:`train_step` (see
+    ``examples/multiparty_lr.py``).  Loss, labels and bias live at Party B
+    only: on endpoints where B is remote, :meth:`forward` and
+    :meth:`train_step` return ``None``.
+    """
+
+    def __init__(self, ctx: VFLContext, in_dims: dict[str, int], in_b: int):
+        self.ctx = ctx
+        self.source = MatMulSource(ctx, in_dims, in_b, 1, name="mp-lr")
+        self.bias = 0.0
+        self._vel_bias = 0.0
+
+    def checkpoint_state(self) -> tuple:
+        """Bias term (Party B state, but a float travels harmlessly) plus
+        the source layer's per-endpoint snapshot."""
+        return (
+            float(self.bias),
+            float(self._vel_bias),
+            self.source.checkpoint_state(),
+        )
+
+    def load_checkpoint_state(self, state: tuple) -> None:
+        bias, vel_bias, source_state = state
+        self.source.load_checkpoint_state(source_state)
+        self.bias = float(bias)
+        self._vel_bias = float(vel_bias)
+
+    def forward(
+        self, x_by_party: dict[str, object], train: bool = True
+    ) -> np.ndarray | None:
+        """Logits at Party B for an aligned batch keyed by party name."""
+        z = self.source.forward(x_by_party, x_by_party.get("B"), train=train)
+        if z is None:  # non-B endpoint: logits only materialise at B
+            return None
+        return z + self.bias
+
+    def train_step(
+        self,
+        x_by_party: dict[str, object],
+        labels: np.ndarray | None,
+        lr: float,
+        momentum: float = 0.9,
+    ) -> float | None:
+        """One BCE step; returns the training loss (``None`` off Party B)."""
+        logits = self.forward(x_by_party, train=True)
+        loss = None
+        grad_z = None
+        if logits is not None:
+            y = np.asarray(labels, dtype=np.float64).reshape(logits.shape)
+            probs = 1.0 / (1.0 + np.exp(-np.clip(logits, -60, 60)))
+            loss = float(
+                np.mean(
+                    np.maximum(logits, 0)
+                    - logits * y
+                    + np.log1p(np.exp(-np.abs(logits)))
+                )
+            )
+            grad_z = (probs - y) / y.shape[0]
+        self.source.backward(grad_z)
+        self.source.apply_updates(lr, momentum)
+        if grad_z is not None:
+            self._vel_bias = momentum * self._vel_bias + float(grad_z.sum())
+            self.bias -= lr * self._vel_bias
+        return loss

@@ -271,7 +271,7 @@ def train_multiparty(
     steps: int,
     resume_from: str | None = None,
 ) -> list[float | None]:
-    """Fixed-batch SGD loop for the N-party models (:mod:`repro.core.multiparty`).
+    """Fixed-batch SGD loop for :class:`~repro.core.models.MultiPartyLR`.
 
     Runs ``steps`` calls to ``model.train_step`` on one aligned batch and
     returns the per-step losses (``None`` entries on endpoints where Party B

@@ -28,7 +28,6 @@ from repro.comm.codec import message_summary
 from repro.comm.party import VFLConfig, VFLContext
 from repro.core.embed_matmul_layer import EmbedMatMulSource
 from repro.core.matmul_layer import MatMulSource
-from repro.core.multiparty import MultiPartyMatMulSource
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "protocol_golden.json"
 
@@ -70,7 +69,7 @@ def _embed_step(key_bits: int, packing: bool, share_refresh: str) -> VFLContext:
 
 
 def _multiparty_step(key_bits: int) -> VFLContext:
-    """One step of the Appendix C layer — the non-mirrored fabric protocol.
+    """One step of the MatMul layer with two Party A's (Appendix C).
 
     Recorded all-local on the serializing tier, which produces the exact
     per-(sender, receiver) message schedule every fabric endpoint must
@@ -80,16 +79,14 @@ def _multiparty_step(key_bits: int) -> VFLContext:
     """
     cfg = VFLConfig(key_bits=key_bits, channel="serializing")
     ctx = VFLContext(cfg, seed=77, n_a_parties=2)
-    layer = MultiPartyMatMulSource(
-        ctx, {"A1": 3, "A2": 2}, in_b=2, out_dim=2, name="gm"
-    )
+    layer = MatMulSource(ctx, {"A1": 3, "A2": 2}, in_b=2, out_dim=2, name="gm")
     rng = np.random.default_rng(13)
     x = {
         "A1": rng.normal(size=(3, 3)),
         "A2": rng.normal(size=(3, 2)),
         "B": rng.normal(size=(3, 2)),
     }
-    layer.forward(x)
+    layer.forward(x, x["B"])
     layer.backward(rng.normal(size=(3, 2)) * 0.1)
     layer.apply_updates(lr=0.05, momentum=0.9)
     return ctx

@@ -213,3 +213,13 @@ def test_dimension_validation():
         EmbedMatMulSource(ctx, [], [4], 2, 1)
     with pytest.raises(ValueError):
         EmbedMatMulSource(ctx, [4], [4], 0, 1)
+
+
+def test_several_a_parties_rejected_before_any_encryption():
+    """Embed-MatMul is two-party: a multi-A federation fails at once, naming
+    the multi-A layer, before a single piece is encrypted or sent."""
+    ctx = VFLContext(VFLConfig(key_bits=KEY_BITS), seed=6, n_a_parties=2)
+    with pytest.raises(ValueError, match="MatMulSource"):
+        EmbedMatMulSource(ctx, [4], [4], 2, 1)
+    assert ctx.channel.transcript == []
+    assert ctx.channel.total_bytes() == 0

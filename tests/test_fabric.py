@@ -23,11 +23,9 @@ import golden_transcript
 from repro.comm.codec import message_summary
 from repro.comm.fabric import FabricTopology, run_federation
 from repro.comm.party import VFLConfig, VFLContext
-from repro.comm.transport import (
-    FatalTransportError,
-    TwoPartyResult,
-)
-from repro.core.multiparty import MultiPartyLR, MultiPartyMatMulSource
+from repro.comm.transport import FatalTransportError
+from repro.core.matmul_layer import MatMulSource
+from repro.core.models import MultiPartyLR
 from repro.obs import JsonlSink, Tracer, use_tracer
 from repro.obs import span as obs_span
 from repro.obs.collect import (
@@ -108,7 +106,7 @@ def train_program(channel, in_dims, steps=TRAIN_STEPS, traced_dir=None):
                 losses.append(model.train_step(x, labels, lr=TRAIN_LR))
     return {
         "losses": losses,
-        "pieces": model.source.local_weight_pieces(),
+        "pieces": model.source.piece_views(),
         "bytes_by_sender": dict(channel.bytes_by_sender),
     }
 
@@ -123,7 +121,7 @@ def _memory_reference(in_dims=IN_DIMS, steps=TRAIN_STEPS, channel_kind=None):
         x = {name: rng.normal(size=(12, dim)) for name, dim in in_dims.items()}
         x["B"] = rng.normal(size=(12, IN_B))
     losses = [model.train_step(x, y, lr=TRAIN_LR) for _ in range(steps)]
-    return losses, model.source.local_weight_pieces(), ctx.channel
+    return losses, model.source.piece_views(), ctx.channel
 
 
 def _assert_clean(stats: dict) -> None:
@@ -390,9 +388,7 @@ def transcript_program(channel):
         channel=channel,
         local_parties=local,
     )
-    layer = MultiPartyMatMulSource(
-        ctx, {"A1": 3, "A2": 2}, in_b=2, out_dim=2, name="gm"
-    )
+    layer = MatMulSource(ctx, {"A1": 3, "A2": 2}, in_b=2, out_dim=2, name="gm")
     # Every endpoint replays the full draw sequence so B's grad matches
     # the golden stream; only local slices are ever fed to the layer.
     rng = np.random.default_rng(13)
@@ -403,7 +399,7 @@ def transcript_program(channel):
     }
     grad = rng.normal(size=(3, 2)) * 0.1
     x = {k: v for k, v in x_full.items() if ctx.is_local(k)}
-    layer.forward(x)
+    layer.forward(x, x.get("B"))
     layer.backward(grad if ctx.is_local("B") else None)
     layer.apply_updates(lr=0.05, momentum=0.9)
     return [message_summary(m) for m in channel.transcript]
@@ -539,26 +535,6 @@ def test_cross_role_overlap_sweep():
     )
     assert cross_role_overlap(solo) == 0.0
     assert cross_role_overlap(merged, phase="other") == 0.0
-
-
-# ---------------------------------------------------------------------------
-# Two-party result shim (satellite of the link_stats collision fix).
-
-
-def test_two_party_result_shim_warns_on_flat_access():
-    result = TwoPartyResult(
-        {
-            "results": {"host": 1, "guest": 2},
-            "link_stats": {"host": {"data_sent": 3}},
-        }
-    )
-    assert result["results"]["guest"] == 2  # structured reads stay silent
-    assert result["link_stats"]["host"]["data_sent"] == 3
-    with pytest.warns(DeprecationWarning, match="deprecated flat"):
-        assert result["guest"] == 2
-    assert "guest" in result and "results" in result
-    with pytest.raises(KeyError):
-        result["nobody"]
 
 
 # ---------------------------------------------------------------------------

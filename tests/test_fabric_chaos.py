@@ -50,7 +50,7 @@ from repro.comm.transport import (
     TransportError,
 )
 from repro.core.checkpoint import TrainingInterrupted, endpoint_checkpoint_path
-from repro.core.multiparty import MultiPartyLR
+from repro.core.models import MultiPartyLR
 from repro.core.trainer import TrainConfig, train_multiparty
 
 GRID4 = {
@@ -108,9 +108,15 @@ def chaos_ckpt_program(channel, in_dims, steps, ckpt_base, every, crash_after):
         )
     except TrainingInterrupted as exc:
         return {"interrupted": True, "checkpoint": exc.checkpoint_path}
+    _, _, a_section, b_section = model.source.checkpoint_state()
     return {
         "losses": losses,
-        "pieces": model.source.local_weight_pieces(),
+        "pieces": model.source.piece_views(),
+        # The layer's checkpoint slice: local A entries, B's per-A pairs.
+        "slice": (
+            [entry[0] for entry in a_section],
+            None if b_section is None else [entry[0] for entry in b_section[2]],
+        ),
     }
 
 
@@ -205,6 +211,14 @@ def test_fabric_kill_grid_then_resume_bit_identical(tmp_path):
     )
     ref_losses, ref_pieces, _ = _memory_reference(steps=steps)
     assert second["results"]["ep_b"]["losses"] == ref_losses
+    # Each endpoint's file held the single MatMul layer format, cut to
+    # exactly its local actors.
+    slices = {role: second["results"][role]["slice"] for role in GRID3}
+    assert slices == {
+        "ep_a1": (["A1"], None),
+        "ep_a2": (["A2"], None),
+        "ep_b": ([], ["A1", "A2"]),
+    }
     pooled = _pooled_pieces(second)
     assert set(pooled) == set(ref_pieces)
     for name, value in ref_pieces.items():

@@ -649,13 +649,13 @@ def test_delta_mode_survives_packing_toggle_off_mid_run():
         layer.apply_updates(0.05, 0.9)
 
     step()  # packed resident copy established
-    assert isinstance(layer._a.enc_v_own, PackedCryptoTensor)
+    assert isinstance(layer._a["A"].enc_v_own, PackedCryptoTensor)
     ctx.config.packing = False  # e.g. TrainConfig(packing=False) override
     step()  # must not raise; migrates back to per-element
-    assert isinstance(layer._a.enc_v_own, CryptoTensor)
+    assert isinstance(layer._a["A"].enc_v_own, CryptoTensor)
     ctx.config.packing = True
     step()  # and the upgrade path still works afterwards
-    assert isinstance(layer._a.enc_v_own, PackedCryptoTensor)
+    assert isinstance(layer._a["A"].enc_v_own, PackedCryptoTensor)
 
 
 def _run_embed_layer(packing, emb_dim=3, refresh="reencrypt", steps=2, key_bits=256):

@@ -28,7 +28,7 @@ SURFACES = {
         "FabricChannel", "FabricTopology", "run_federation",
     ],
     "repro.core": [
-        "MatMulSource", "EmbedMatMulSource", "MultiPartyMatMulSource",
+        "MatMulSource", "EmbedMatMulSource", "MultiPartyLR",
         "FederatedModule", "FederatedParameter", "FederatedSGD",
         "FederatedLR", "FederatedMLR", "FederatedMLP", "FederatedWDL",
         "FederatedDLRM", "TrainConfig", "train_federated", "evaluate_federated",
@@ -71,7 +71,7 @@ def test_package_version():
 
 def test_multiparty_lr_wrapper_trains():
     from repro.comm import VFLConfig, VFLContext
-    from repro.core.multiparty import MultiPartyLR
+    from repro.core import MultiPartyLR
     from repro.data import make_dense_classification, split_vertical
 
     full = make_dense_classification(96, 9, seed=66, flip=0.02, nonlinear=False)

@@ -134,7 +134,7 @@ def test_activation_attack_fails_against_blindfl(rng):
             model.backward_sources()
             opt.step()
     x_a_all = vd.party("A").x_dense
-    za_attack = x_a_all @ model.source._a.u  # all A can compute alone
+    za_attack = x_a_all @ model.source._a["A"].u  # all A can compute alone
     score = activation_attack_score(za_attack, vd.y)
     # Sanity: the full federated model *does* fit the labels.
     w = model.source.reveal_weights()
