@@ -57,7 +57,7 @@ def _federated_attack_curve(model_cls, vd_train, vd_test, n_classes, out_dim, cf
             loss.backward()
             model.backward_sources()
             opt.step()
-        za = x_a_test.matmul_dense(model.source._a.u)
+        za = x_a_test.matmul_dense(model.source._a["A"].u)
         scores.append(activation_attack_score(za, vd_test.y, n_classes))
     return scores
 

@@ -51,7 +51,7 @@ def main() -> None:
             fed.backward_sources()
             opt.step()
     blind_leak = activation_attack_score(
-        test.party("A").x_dense @ fed.source._a.u, test.y
+        test.party("A").x_dense @ fed.source._a["A"].u, test.y
     )
     print("Attack 1 — Party A predicts labels from its forward values")
     print(f"  split learning (X_A W_A):  AUC {split_leak:.3f}   <- leaks")

@@ -63,7 +63,7 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = "blindfl-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(RuntimeError):

@@ -123,7 +123,6 @@ def matmul_backward_from_shares(
     fresh_va = CryptoTensor.encrypt(b.public_key, sb.v_a[a.name], obfuscate=True)
     ch.send(b.name, a.name, f"{tag}.upd.encV_A", fresh_va, MessageKind.CIPHERTEXT)
     sa.enc_v_own = ch.recv(a.name, f"{tag}.upd.encV_A")
-    sb.packed[a.name] = False
     fresh_vb = CryptoTensor.encrypt(a.public_key, sa.v_b, obfuscate=True)
     ch.send(a.name, b.name, f"{tag}.upd.encV_B", fresh_vb, MessageKind.CIPHERTEXT)
     sb.enc_v_b[a.name] = ch.recv(b.name, f"{tag}.upd.encV_B")

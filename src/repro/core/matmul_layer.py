@@ -139,9 +139,6 @@ class _BState:
     v_a: dict[str, np.ndarray] = field(default_factory=dict)  # V_A(i)
     vel_v_a: dict[str, np.ndarray] = field(default_factory=dict)
     enc_v_b: dict = field(default_factory=dict)  # [[V_B(i)]] under A(i)'s key
-    # Whether A(i)'s cached [[V_A(i)]] is packed: B picks the refresh form
-    # from it without ever seeing A(i)'s copy.
-    packed: dict[str, bool] = field(default_factory=dict)
     vel_u: np.ndarray = field(init=False)
     x_cache: object = None
     pending: dict = field(default_factory=dict)
@@ -194,8 +191,7 @@ class MatMulSource(SourceLayer):
         # Multicore execution engine for this layer's kernels; None falls
         # back to the process default (see repro.crypto.parallel).
         self.parallel = parallel
-        self.in_a, self.in_b, self.out_dim = in_a, in_b, out_dim
-        self.in_dims = in_dims
+        self.in_dims, self.in_b, self.out_dim = in_dims, in_b, out_dim
         self._step = 0
         cfg = ctx.config
         self._cfg = cfg
@@ -237,7 +233,6 @@ class MatMulSource(SourceLayer):
                 )
                 self._b.v_a[a_name] = v_a
                 self._b.vel_v_a[a_name] = np.zeros_like(v_a)
-                self._b.packed[a_name] = isinstance(enc_v_a, PackedCryptoTensor)
             if local(a_name):
                 self._a[a_name] = _AState(
                     u=u_a,
@@ -478,18 +473,21 @@ class MatMulSource(SourceLayer):
         """B's half of the refresh of A(i)'s cached [[V_A(i)]]."""
         b, ch = self.ctx.B, self.ctx.channel
         v_a = self._b.v_a[a_name]
-        if support is None or (layout is not None) != self._b.packed[a_name]:
+        # A non-None support means delta refresh, which needs A(i) local.
+        packed = support is not None and isinstance(
+            self._a[a_name].enc_v_own, PackedCryptoTensor
+        )
+        if support is None or (layout is not None) != packed:
             # Full re-encrypt: the faithful Figure 6 refresh — and the one
             # step that migrates the cached copy between packed and
             # per-element forms when the packing knob flips mid-run
             # (either direction).
-            fresh = self._encrypt_piece(b.public_key, v_a)
-            self._b.packed[a_name] = isinstance(fresh, PackedCryptoTensor)
             ch.send(
-                b.name, a_name, f"{tag}.upd.encV_{a_name}", fresh,
+                b.name, a_name, f"{tag}.upd.encV_{a_name}",
+                self._encrypt_piece(b.public_key, v_a),
                 MessageKind.CIPHERTEXT,
             )
-        elif self._b.packed[a_name]:
+        elif packed:
             # Packed delta mode: lanes cannot be patched additively without
             # spending guard bits every step, so B re-encrypts just the
             # touched rows (same wire cost as an encrypted delta) and A(i)
@@ -536,8 +534,7 @@ class MatMulSource(SourceLayer):
 
         Only *local* actors are captured: each local A(i) its pieces,
         velocities and cached ``[[V_A(i)]]``; a local B its ``U_B`` and,
-        per A(i), ``V_A(i)``, its velocity, ``[[V_B(i)]]`` and whether
-        A(i)'s copy is packed.  The step counter the protocol tags derive
+        per A(i), ``V_A(i)``, its velocity and ``[[V_B(i)]]``.  The step counter the protocol tags derive
         from comes along.  An all-local layer is the endpoint that hosts
         every party, so trainer and fabric checkpoints share this format.
         Batch-transient state (``x_cache``, ``pending``) is provably stale
@@ -555,7 +552,7 @@ class MatMulSource(SourceLayer):
                 st.u,
                 st.vel_u,
                 [
-                    (n, st.v_a[n], st.vel_v_a[n], st.enc_v_b[n], st.packed[n])
+                    (n, st.v_a[n], st.vel_v_a[n], st.enc_v_b[n])
                     for n in sorted(st.v_a)
                 ],
             )
@@ -607,9 +604,9 @@ class MatMulSource(SourceLayer):
         if self._b is not None:
             st = self._b
             st.u, st.vel_u = _floats(u_b, vel_u_b)
-            for name, (v_a, vel_v_a, enc_v_b, packed) in saved_b.items():
+            for name, (v_a, vel_v_a, enc_v_b) in saved_b.items():
                 st.v_a[name], st.vel_v_a[name] = _floats(v_a, vel_v_a)
-                st.enc_v_b[name], st.packed[name] = enc_v_b, bool(packed)
+                st.enc_v_b[name] = enc_v_b
             st.x_cache = None
         self.zero_pending()
 
