@@ -14,6 +14,14 @@ raw-mul cache collapses ``nnz`` exponentiations per ciphertext element into
 one.  A dense-gaussian matmul config is included for the worst case, where
 the kernels only save Python object overhead.
 
+A counting-only ``multiexp_counts`` row compares modular multiplications
+rather than seconds: an ``8 x T @ T x 8`` contraction with ~48-bit signed
+mantissas, counted the pow-per-term way (square-and-multiply steps of each
+term's ``pow``, one per inversion, plus the combining multiplies) against
+the ``mulmod.multiexp`` counter of ``kernels.multiexp``, for T = 8, 16 and
+32 at 256-, 1024- and 2048-bit moduli.  Counts do not depend on the host,
+so ``run_bench.check_kernels`` can gate on them.
+
 Emits ``BENCH_kernels.json`` at the repo root so the perf trajectory has a
 baseline::
 
@@ -25,15 +33,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
+import random
 import time
 from pathlib import Path
 
 import numpy as np
 
-from repro.crypto.crypto_tensor import (
-    CryptoTensor,
+from legacy_object_path import (
     legacy_encrypt,
     legacy_matmul_plain_cipher,
     legacy_matmul_sparse_cipher,
@@ -41,12 +50,15 @@ from repro.crypto.crypto_tensor import (
     legacy_sparse_t_matmul_cipher,
 )
 from repro.crypto.crypto_tensor import (
+    CryptoTensor,
     matmul_plain_cipher,
     sparse_matmul_cipher,
     sparse_t_matmul_cipher,
 )
-from repro.crypto.paillier import generate_paillier_keypair
+from repro.crypto import kernels
+from repro.crypto.paillier import PaillierPublicKey, generate_paillier_keypair
 from repro.crypto.parallel import ParallelContext
+from repro.obs.tracer import Tracer, counter_totals, use_tracer
 from repro.tensor.sparse import CSRMatrix
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -199,6 +211,60 @@ def bench_scatter(pk, sk, batch: int, dim: int, rows: int, repeat: int) -> dict:
     }
 
 
+MULTIEXP_KEY_BITS = (256, 1024, 2048)
+MULTIEXP_TERMS = (8, 16, 32)
+MULTIEXP_SIDE = 8
+MANTISSA_BITS = 48
+
+
+def bench_multiexp_counts(key_bits: int, terms: int, side: int = MULTIEXP_SIDE) -> dict:
+    """Counted mulmods of one ``side x terms @ terms x side`` contraction.
+
+    Counting needs no decryption, so the modulus is a random odd
+    ``key_bits``-bit integer and the bases random units mod its square.
+    """
+    rng = random.Random(key_bits * 1000 + terms)
+    n = rng.getrandbits(key_bits) | (1 << (key_bits - 1)) | 1
+    pk = PaillierPublicKey(n)
+    bases = []
+    while len(bases) < terms * side:
+        c = rng.randrange(2, pk.nsquare)
+        if math.gcd(c, n) == 1:
+            bases.append(c)
+    signed = [
+        rng.choice((-1, 1)) * rng.getrandbits(MANTISSA_BITS) for _ in range(side * terms)
+    ]
+    blocks = [
+        (
+            [e % n for e in signed[i * terms : (i + 1) * terms]],
+            [range(t * side, t * side + side) for t in range(terms)],
+        )
+        for i in range(side)
+    ]
+    # A pow per term: (bits - 1) squarings + (weight - 1) multiplies, an
+    # inversion for a negative mantissa, then terms - 1 multiplies to
+    # combine each output's powers.
+    per_term = side * sum(
+        (abs(e).bit_length() - 1) + (abs(e).bit_count() - 1) + (e < 0)
+        for e in signed
+        if e
+    ) + side * side * (terms - 1)
+    trc = Tracer()
+    with use_tracer(trc):
+        kernels.multiexp(pk, bases, blocks, side)
+    trc.close()
+    multiexp = counter_totals(trc.to_dicts())["mulmod.multiexp"]
+    return {
+        "key_bits": key_bits,
+        "terms": terms,
+        "outputs": side * side,
+        "mantissa_bits": MANTISSA_BITS,
+        "per_term_mulmods": per_term,
+        "multiexp_mulmods": multiexp,
+        "reduction": per_term / multiexp,
+    }
+
+
 def run(
     key_bits: int = 256,
     quick: bool = False,
@@ -246,8 +312,18 @@ def run(
         ],
         "sparse_matmul": bench_sparse(pk, sk, *sparse_cfg, density, repeat),
         "scatter_add": bench_scatter(pk, sk, *scatter_cfg, repeat),
+        "multiexp_counts": run_counts(MULTIEXP_KEY_BITS[:1] if quick else MULTIEXP_KEY_BITS),
     }
     return results
+
+
+def run_counts(key_bits: tuple[int, ...] = MULTIEXP_KEY_BITS) -> list[dict]:
+    """The counting-only multiexp grid (see the module docstring)."""
+    return [
+        bench_multiexp_counts(bits, terms)
+        for bits in key_bits
+        for terms in MULTIEXP_TERMS
+    ]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -291,6 +367,12 @@ def main(argv: list[str] | None = None) -> int:
         f"{results['encrypt']['speedup_kernel']:.2f}x "
         f"(pooled {results['encrypt']['speedup_pooled']:.2f}x)"
     )
+    for row in results["multiexp_counts"]:
+        print(
+            f"multiexp {row['terms']} terms @ {row['key_bits']}b: "
+            f"{row['per_term_mulmods']} -> {row['multiexp_mulmods']} mulmods "
+            f"({row['reduction']:.2f}x fewer)"
+        )
     return 0
 
 

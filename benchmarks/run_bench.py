@@ -39,6 +39,11 @@ import bench_transport  # noqa: E402
 MIN_SPEEDUP = 1.1
 KEY_BITS = 128  # short keys keep the quick gate far under the 60 s budget
 
+# Multiexp gate is counting-only: on the 8-, 16- and 32-term contraction
+# grid (~48-bit mantissas, 256- to 2048-bit moduli) the Straus kernel must
+# spend at least 3x fewer counted mulmods than a pow per term.
+MIN_MULTIEXP_MULMOD_REDUCTION = 3.0
+
 # Packing gates: wire-size reductions are deterministic counting (no timing
 # noise), so the production-key bound is the acceptance criterion itself.
 PACKING_KEY_BITS = 256  # smallest key whose layout fits two product slots
@@ -117,6 +122,31 @@ def check(results: dict | None = None) -> dict:
             + "\n  ".join(failures)
         )
     return results
+
+
+def check_kernels(rows: list[dict] | None = None) -> list[dict]:
+    """Assert multiexp's counted-mulmod win holds on every grid row.
+
+    Counting-only (see ``bench_kernels.bench_multiexp_counts``): the
+    numbers are the same on any host, so the bound is exact, not a timing
+    margin.
+    """
+    if rows is None:
+        rows = bench_kernels.run_counts()
+    failures = [
+        f"{row['terms']} terms @ {row['key_bits']}b: {row['per_term_mulmods']} "
+        f"per-term vs {row['multiexp_mulmods']} multiexp mulmods "
+        f"({row['reduction']:.2f}x < {MIN_MULTIEXP_MULMOD_REDUCTION}x)"
+        for row in rows
+        if row["reduction"] < MIN_MULTIEXP_MULMOD_REDUCTION
+    ]
+    if not rows:
+        failures.append("no multiexp count rows")
+    if failures:
+        raise AssertionError(
+            "multiexp lost its counted-mulmod win:\n  " + "\n  ".join(failures)
+        )
+    return rows
 
 
 def check_packing(results: dict | None = None) -> dict:
@@ -559,6 +589,7 @@ def check_fabric(results: dict | None = None) -> dict:
 def main() -> int:
     try:
         results = check()
+        multiexp_rows = check_kernels()
         packing_results = check_packing()
         decrypt_results = check_decrypt()
         transport_results = check_transport()
@@ -572,6 +603,7 @@ def main() -> int:
         json.dumps(
             {
                 "kernels": results,
+                "multiexp_counts": multiexp_rows,
                 "packing": packing_results,
                 "decrypt": decrypt_results,
                 "transport": transport_results,
@@ -583,6 +615,10 @@ def main() -> int:
         )
     )
     print("OK: kernel path beats the legacy object path on all gated primitives")
+    print(
+        "OK: multiexp spends at least "
+        f"{MIN_MULTIEXP_MULMOD_REDUCTION}x fewer counted mulmods than a pow per term"
+    )
     print(
         "OK: packed encryption beats per-element and the production-key "
         f"transfer grid clears {MIN_PRODUCTION_REDUCTION}x"

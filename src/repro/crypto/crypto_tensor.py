@@ -13,12 +13,13 @@ facade over :mod:`repro.crypto.kernels`, which does all real work on flat
   and re-randomisation — lowers the tensor to raw residues, runs an
   allocation-free integer loop, and wraps :class:`EncryptedNumber` objects
   only around the *outputs*;
-* matmuls deduplicate modular exponentiations by distinct plaintext value
-  (the kernel's raw-mul cache), so binary/categorical features cost one
-  ``pow`` per ciphertext element instead of one per nonzero — the sparsity
-  speed-up BlindFL's Table 5 is about, compounded;
+* every ``plain @ cipher`` / ``cipher @ plain`` output is one
+  multi-exponentiation (``kernels.multiexp``): the output's terms share
+  one squaring chain and each ciphertext one window table, and zeros are
+  never touched — the sparsity speed-up BlindFL's Table 5 is about;
 * obfuscation draws ``r^n`` blinders from the public key's precomputed
-  pool (see ``PaillierPublicKey.prefill_blinding``);
+  pool (see ``PaillierPublicKey.prefill_blinding``), each a fixed-base
+  comb evaluation of ``h^x``;
 * exponentiation-heavy kernels shard across a
   :class:`~repro.crypto.parallel.ParallelContext` when one is passed in
   (or installed as the process default) — the multicore execution engine.
@@ -27,10 +28,10 @@ Plaintext operands may be dense numpy arrays or any object exposing
 ``iter_rows() -> (col_indices, values)`` per row (our CSR matrices), so
 sparse datasets never materialise their zeros.
 
-The pre-kernel, per-``EncryptedNumber`` implementations are kept as
-``legacy_*`` functions: they are the reference the equivalence tests pin
-the kernels against and the baseline the benchmark suite measures speedups
-over.  New code should never call them.
+The pre-kernel, per-``EncryptedNumber`` implementations live outside the
+package, in ``benchmarks/legacy_object_path.py``: the equivalence tests pin
+the kernels against them and the kernel benchmark measures speedups over
+them.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from typing import Iterable
 import numpy as np
 
 from repro.crypto import kernels
-from repro.crypto.encoding import EncodedNumber
 from repro.crypto.kernels import PLAIN_EXPONENT, TENSOR_EXPONENT
 from repro.crypto.paillier import EncryptedNumber, PaillierPrivateKey, PaillierPublicKey
 from repro.crypto.parallel import ParallelContext
@@ -53,13 +53,6 @@ __all__ = [
     "matmul_cipher_plain",
     "sparse_matmul_cipher",
     "sparse_t_matmul_cipher",
-    "legacy_encrypt",
-    "legacy_matmul_plain_cipher",
-    "legacy_matmul_cipher_plain",
-    "legacy_matmul_sparse_cipher",
-    "legacy_sparse_t_matmul_cipher",
-    "legacy_scatter_add_rows",
-    "legacy_obfuscate",
 ]
 
 
@@ -477,176 +470,3 @@ def sparse_t_matmul_cipher(
         pk, rows, cts, k, exp, out_rows, col_to_out, parallel
     )
     return CryptoTensor(pk, _wrap(pk, out, oexp, (out_rows, k)))
-
-
-# ---------------------------------------------------------------------------
-# Legacy object-path reference implementations.
-#
-# These are the pre-kernel per-EncryptedNumber loops, kept verbatim for two
-# reasons: the equivalence tests assert the kernels decrypt to the same
-# arrays, and the benchmark suite measures kernel speedups against them.
-# They are not used by any protocol code.
-
-
-def _common_exponent(data: np.ndarray) -> int:
-    return min(enc.exponent for enc in data.ravel())
-
-
-def _encode_matrix(pk: PaillierPublicKey, arr: np.ndarray) -> np.ndarray:
-    """Pre-encode a plaintext matrix once so products reuse the encodings."""
-    flat = arr.ravel()
-    out = np.empty(flat.shape[0], dtype=object)
-    for i, value in enumerate(flat):
-        out[i] = EncodedNumber.encode(pk, float(value), exponent=PLAIN_EXPONENT)
-    return out.reshape(arr.shape)
-
-
-def legacy_encrypt(
-    public_key: PaillierPublicKey,
-    array: np.ndarray,
-    exponent: int = TENSOR_EXPONENT,
-    obfuscate: bool = True,
-) -> CryptoTensor:
-    """Per-element object-path encryption (reference/benchmark baseline)."""
-    array = np.asarray(array, dtype=np.float64)
-    flat = array.ravel()
-    out = np.empty(flat.shape[0], dtype=object)
-    for i, value in enumerate(flat):
-        out[i] = public_key.encrypt(float(value), exponent=exponent, obfuscate=obfuscate)
-    return CryptoTensor(public_key, out.reshape(array.shape))
-
-
-def legacy_matmul_plain_cipher(plain: np.ndarray, ct: CryptoTensor) -> CryptoTensor:
-    """Dense ``plain (s x m) @ cipher (m x k)`` via EncryptedNumber ops."""
-    plain = np.atleast_2d(plain)
-    cdata = ct.data if ct.data.ndim == 2 else ct.data.reshape(-1, 1)
-    s, m = plain.shape
-    m2, k = cdata.shape
-    if m != m2:
-        raise ValueError(f"matmul shape mismatch: ({s},{m}) @ ({m2},{k})")
-    pk = ct.public_key
-    prod_exp = _common_exponent(cdata) + PLAIN_EXPONENT
-    encoded = _encode_matrix(pk, plain)
-    out = np.empty((s, k), dtype=object)
-    for i in range(s):
-        row = plain[i]
-        nz = np.nonzero(row)[0]
-        for j in range(k):
-            acc = pk.encrypt_zero(prod_exp)
-            for t in nz:
-                acc = acc + (cdata[t, j] * encoded[i, t])
-            out[i, j] = acc
-    return CryptoTensor(pk, out)
-
-
-def legacy_matmul_sparse_cipher(sparse: object, ct: CryptoTensor) -> CryptoTensor:
-    """CSR ``plain @ cipher`` via EncryptedNumber ops."""
-    cdata = ct.data if ct.data.ndim == 2 else ct.data.reshape(-1, 1)
-    m2, k = cdata.shape
-    pk = ct.public_key
-    prod_exp = _common_exponent(cdata) + PLAIN_EXPONENT
-    rows = list(sparse.iter_rows())
-    out = np.empty((len(rows), k), dtype=object)
-    for i, (cols, vals) in enumerate(rows):
-        encoded_vals = [
-            EncodedNumber.encode(pk, float(v), exponent=PLAIN_EXPONENT) for v in vals
-        ]
-        for j in range(k):
-            acc = pk.encrypt_zero(prod_exp)
-            for col, enc_val in zip(cols, encoded_vals):
-                if col >= m2:
-                    raise IndexError("sparse column index out of range")
-                acc = acc + (cdata[col, j] * enc_val)
-            out[i, j] = acc
-    return CryptoTensor(pk, out)
-
-
-def legacy_sparse_t_matmul_cipher(
-    sparse: object, ct: CryptoTensor, columns: np.ndarray | None = None
-) -> CryptoTensor:
-    """``sparse.T @ cipher`` via EncryptedNumber ops."""
-    cdata = ct.data if ct.data.ndim == 2 else ct.data.reshape(-1, 1)
-    batch, k = cdata.shape
-    n_rows, m = sparse.shape
-    if n_rows != batch:
-        raise ValueError(f"t_matmul shape mismatch: {sparse.shape}.T @ ({batch},{k})")
-    pk = ct.public_key
-    prod_exp = _common_exponent(cdata) + PLAIN_EXPONENT
-    if columns is None:
-        out_rows = m
-        col_to_out = None
-    else:
-        columns = np.asarray(columns, dtype=np.int64)
-        out_rows = columns.shape[0]
-        col_to_out = {int(c): i for i, c in enumerate(columns)}
-    out = np.empty((out_rows, k), dtype=object)
-    for i in range(out_rows):
-        for j in range(k):
-            out[i, j] = pk.encrypt_zero(prod_exp)
-    for i, (cols, vals) in enumerate(sparse.iter_rows()):
-        for col, val in zip(cols, vals):
-            if col_to_out is None:
-                target = int(col)
-            elif int(col) in col_to_out:
-                target = col_to_out[int(col)]
-            else:
-                raise IndexError("batch touches a column outside `columns`")
-            encoded = EncodedNumber.encode(pk, float(val), exponent=PLAIN_EXPONENT)
-            for j in range(k):
-                out[target, j] = out[target, j] + (cdata[i, j] * encoded)
-    return CryptoTensor(pk, out)
-
-
-def legacy_matmul_cipher_plain(ct: CryptoTensor, plain: np.ndarray) -> CryptoTensor:
-    """Dense ``cipher (s x m) @ plain (m x k)`` via EncryptedNumber ops."""
-    cdata = ct.data if ct.data.ndim == 2 else ct.data.reshape(1, -1)
-    plain = np.atleast_2d(plain)
-    s, m = cdata.shape
-    m2, k = plain.shape
-    if m != m2:
-        raise ValueError(f"matmul shape mismatch: ({s},{m}) @ ({m2},{k})")
-    pk = ct.public_key
-    prod_exp = _common_exponent(cdata) + PLAIN_EXPONENT
-    encoded = _encode_matrix(pk, plain)
-    out = np.empty((s, k), dtype=object)
-    for j in range(k):
-        nz = np.nonzero(plain[:, j])[0]
-        for i in range(s):
-            acc = pk.encrypt_zero(prod_exp)
-            for t in nz:
-                acc = acc + (cdata[i, t] * encoded[t, j])
-            out[i, j] = acc
-    return CryptoTensor(pk, out)
-
-
-def legacy_scatter_add_rows(
-    ct: CryptoTensor, indices: np.ndarray, num_rows: int
-) -> CryptoTensor:
-    """Encrypted ``lkup_bw`` via EncryptedNumber ops."""
-    if ct.data.ndim != 2:
-        raise ValueError("scatter_add_rows needs a 2-D tensor")
-    indices = np.asarray(indices, dtype=int)
-    if indices.shape[0] != ct.data.shape[0]:
-        raise ValueError("one index per batch row required")
-    if indices.size and (indices.min() < 0 or indices.max() >= num_rows):
-        raise IndexError("scatter index out of range")
-    dim = ct.data.shape[1]
-    exponent = _common_exponent(ct.data)
-    pk = ct.public_key
-    out = np.empty((num_rows, dim), dtype=object)
-    for i in range(num_rows):
-        for j in range(dim):
-            out[i, j] = pk.encrypt_zero(exponent)
-    for batch_row, table_row in enumerate(indices):
-        for j in range(dim):
-            out[table_row, j] = out[table_row, j] + ct.data[batch_row, j]
-    return CryptoTensor(pk, out)
-
-
-def legacy_obfuscate(ct: CryptoTensor) -> CryptoTensor:
-    """Per-element re-randomisation via EncryptedNumber ops."""
-    flat = ct.data.ravel()
-    out = np.empty(flat.shape[0], dtype=object)
-    for i, enc in enumerate(flat):
-        out[i] = enc.obfuscate()
-    return CryptoTensor(ct.public_key, out.reshape(ct.data.shape))

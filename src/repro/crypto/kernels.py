@@ -13,34 +13,39 @@ boundary.
 
 Three algorithmic optimisations are fused into the kernels:
 
-1. **Encoding/raw-mul caching** — matmuls group the contraction by distinct
-   plaintext value, so a value repeated along a row/column costs *one*
-   modular exponentiation per ciphertext element instead of one per
-   occurrence.  On the binary/categorical features of BlindFL's sparse
-   datasets (values in {0, 1}) this collapses ``nnz`` exponentiations per
-   output into one.
+1. **Multi-exponentiation** — every output of a ``plain @ cipher`` or
+   ``cipher @ plain`` contraction (dense, CSR and packed, plus packing's
+   lane shifts) is a product of powers ``prod_t c_t^(m_t) mod n^2``, built
+   by :func:`multiexp` as one Straus product: the output's terms share a
+   single squaring chain, each ciphertext gets one small window table that
+   every output using it shares, and negative mantissas cost one batched
+   inversion per distinct ciphertext instead of one per term.  Blinders
+   ``h^x`` come from the public key's fixed-base comb table (about ``λ/w``
+   mulmods each, no squarings).  Both return exactly the residues a
+   pow-per-term loop would.
 2. **Blinding pool** — obfuscation draws ``r^n mod n^2`` factors from the
-   public key's precomputed pool (see ``PaillierPublicKey.blinding_pool``)
+   public key's precomputed pool (see ``PaillierPublicKey.prefill_blinding``)
    and computes any shortfall as one batch, optionally in parallel.
-3. **Multicore dispatch** — every exponentiation-heavy kernel builds an
-   explicit job list and hands it to a :class:`~repro.crypto.parallel.
-   ParallelContext` when one is configured and the job count clears the
-   gate; results are bit-identical to serial execution.
+3. **Multicore dispatch** — every exponentiation-heavy kernel hands its
+   work to a :class:`~repro.crypto.parallel.ParallelContext` when one is
+   configured and the work clears the gate (multiexp shards whole
+   outputs); results are bit-identical to serial execution.
 
 All kernels mirror the legacy object path's arithmetic exactly (same
-mantissa encodings, same negative-plaintext inversion trick, same exponent
-bookkeeping), which the equivalence test-suite pins down.
+mantissa encodings, same signed reading of negative plaintexts, same
+exponent bookkeeping), which the equivalence test-suite pins down.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Sequence
 
 import numpy as np
 
 from repro.crypto.encoding import EncodedNumber
-from repro.crypto.math_utils import invmod, powmod
+from repro.crypto.math_utils import invmod, multiexp_blocks, powmod, straus_window
 from repro.crypto.parallel import ParallelContext, get_default_context
 from repro.obs import tracer as _obs
 
@@ -63,6 +68,7 @@ __all__ = [
     "scatter_add_flat",
     "obfuscate_flat",
     "raw_mul_many",
+    "multiexp",
 ]
 
 # Uniform fixed-point exponents (shared with crypto_tensor, which re-exports
@@ -81,7 +87,7 @@ def _resolve(parallel: ParallelContext | None) -> ParallelContext | None:
 
 
 # ---------------------------------------------------------------------------
-# Exponentiation job execution (the one place serial/parallel diverge).
+# Exponentiation execution (the one place serial/parallel diverge).
 
 
 def raw_mul_many(
@@ -92,7 +98,10 @@ def raw_mul_many(
     """``c^m mod n^2`` for every ``(ciphertext, mantissa)`` pair.
 
     Mirrors ``PaillierPublicKey.raw_mul``; dispatches to the parallel
-    context when one is active and the batch clears its gate.
+    context when one is active and the batch clears its gate.  Serves the
+    products that are not contractions — elementwise and scalar ones, and
+    ``X.T @ cipher``, where one powered batch row feeds many outputs;
+    contractions use :func:`multiexp`.
     """
     ctx = _resolve(parallel)
     if ctx is not None and ctx.should_parallelize(len(pairs)):
@@ -118,6 +127,75 @@ def raw_mul_many(
         trc = _obs.get_tracer()
         if trc is not None:
             trc.add("pow.mul", pows)
+    return out
+
+
+def multiexp(
+    public_key,
+    bases: Sequence[int],
+    blocks: Sequence[tuple[Sequence[int], Sequence[Sequence[int]]]],
+    width: int,
+    parallel: ParallelContext | None = None,
+) -> list[int]:
+    """Products of powers ``prod_t bases[rows[t][l]] ^ m_t mod n^2``.
+
+    Each block ``(mantissas, rows)`` yields ``width`` outputs that share
+    the plaintext mantissas (residues mod n, read as signed like
+    ``raw_mul``) and raise one base per output: ``rows[t][l]`` indexes the
+    base term ``t`` contributes to output ``l``.  Outputs come back block by
+    block, bit-identical to multiplying ``raw_mul`` terms together.  The
+    work is Straus's interleaved windowed product
+    (:func:`~repro.crypto.math_utils.multiexp_blocks`) with the window
+    chosen from the term count; a configured parallel context shards the
+    blocks.  ``mulmod.multiexp`` counts squarings, window multiplies,
+    table entries and inversions here, so serial and parallel runs count
+    the same.
+    """
+    n = public_key.n
+    nsq = public_key.nsquare
+    half = n // 2
+    counts: Counter[int] = Counter()
+    for mants, _ in blocks:
+        counts.update(mants)
+    counts.pop(0, None)
+    if not counts:
+        return [1] * (len(blocks) * width)
+    mags = [(n - m if m >= half else m, c) for m, c in counts.items()]
+    uses = sum(c for _, c in mags)
+    bits = sum(e.bit_length() * c for e, c in mags)
+    weight = sum(e.bit_count() * c for e, c in mags)
+    # The largest 2^z dividing every exponent.
+    shift = min((e & -e).bit_length() - 1 for e, _ in mags)
+    ops = 0
+    if shift and len(bases) < len(blocks) * width:
+        # Binary features encode as 2^32: square each base z times rather
+        # than each output.
+        bases = [pow(c, 1 << shift, nsq) for c in bases]
+        bits -= shift * uses
+        ops = shift * len(bases)
+    else:
+        shift = 0
+    w = straus_window(
+        uses * width, min(len(bases), uses * width), bits / uses, weight / uses
+    )
+    ctx = _resolve(parallel)
+    if ctx is not None and ctx.should_parallelize(uses * width):
+        out, chain_ops = ctx.multiexp(public_key, bases, blocks, width, w, shift)
+    else:
+        out, chain_ops = multiexp_blocks(bases, blocks, width, w, n, shift, nsq)
+    ops += chain_ops
+    trc = _obs.get_tracer()
+    if trc is not None:
+        nb = len(bases)
+        keys = {
+            b + nb if m >= half else b
+            for mants, rows in blocks
+            for m, row in zip(mants, rows)
+            if m
+            for b in row
+        }
+        inverted = sum(1 for key in keys if key >= nb)
+        trc.add("mulmod.multiexp", ops + len(keys) * ((1 << w) - 2) + inverted)
     return out
 
 
@@ -416,9 +494,17 @@ def mul_plain_flat(
 
 
 # ---------------------------------------------------------------------------
-# Matrix products.  Each builds a deduplicated exponentiation job list (one
-# pow per distinct plaintext value per ciphertext element), executes it
-# serially or across the pool, then combines with cheap mulmods.
+# Matrix products.  Dense and CSR ``plain @ cipher`` and ``cipher @ plain``
+# are contractions: every output is a product of powers, built by
+# :func:`multiexp`.  ``X.T @ cipher`` powers each batch row once and
+# scatters it into many outputs, so it keeps the shared-pow job list.
+
+
+def _mantissa(public_key, enc_cache: dict[float, int], v: float) -> int:
+    m = enc_cache.get(v)
+    if m is None:
+        m = enc_cache[v] = _encode_mantissa(public_key, v, PLAIN_EXPONENT)
+    return m
 
 
 def matmul_plain_cipher_flat(
@@ -431,45 +517,21 @@ def matmul_plain_cipher_flat(
 ) -> tuple[list[int], int]:
     """Dense ``plain (s x m) @ cipher (m x k)`` over flat residues.
 
-    Zero entries are skipped; repeated values within a plaintext column
-    share one exponentiation per ciphertext row (the raw-mul cache).
-    Returns the flat ``s*k`` product batch and its uniform exponent.
+    Zero entries are skipped; output row ``i`` is one multiexp block whose
+    ``k`` outputs share row ``i``'s mantissas.  Returns the flat ``s*k``
+    product batch and its uniform exponent.
     """
     plain = np.asarray(plain, dtype=np.float64)
-    s, m = plain.shape
-    nsq = public_key.nsquare
-    prod_exp = exponent + PLAIN_EXPONENT
     enc_cache: dict[float, int] = {}
-    jobs: list[tuple[int, int]] = []
-    groups: list[list[int]] = []  # output-row lists, one per k-sized job block
-    for t in range(m):
-        col = plain[:, t]
-        nz = np.nonzero(col)[0]
-        if not nz.size:
-            continue
-        by_value: dict[float, list[int]] = {}
-        for i in nz.tolist():
-            by_value.setdefault(float(col[i]), []).append(i)
-        base = t * k
-        for v, rows in by_value.items():
-            mant = enc_cache.get(v)
-            if mant is None:
-                mant = _encode_mantissa(public_key, v, PLAIN_EXPONENT)
-                enc_cache[v] = mant
-            for j in range(k):
-                jobs.append((cts[base + j], mant))
-            groups.append(rows)
-    powered = raw_mul_many(public_key, jobs, parallel)
-    out = [1] * (s * k)
-    pos = 0
-    for rows in groups:
-        block = powered[pos : pos + k]
-        pos += k
-        for i in rows:
-            ob = i * k
-            for j in range(k):
-                out[ob + j] = (out[ob + j] * block[j]) % nsq
-    return out, prod_exp
+    cipher_rows = [range(t * k, t * k + k) for t in range(plain.shape[1])]
+    blocks = []
+    for row in plain.tolist():
+        nz = [(t, v) for t, v in enumerate(row) if v != 0.0]
+        blocks.append((
+            [_mantissa(public_key, enc_cache, v) for _, v in nz],
+            [cipher_rows[t] for t, _ in nz],
+        ))
+    return multiexp(public_key, cts, blocks, k, parallel), exponent + PLAIN_EXPONENT
 
 
 def matmul_cipher_plain_flat(
@@ -480,42 +542,25 @@ def matmul_cipher_plain_flat(
     exponent: int,
     parallel: ParallelContext | None = None,
 ) -> tuple[list[int], int]:
-    """Dense ``cipher (s x m) @ plain (m x k)`` over flat residues."""
+    """Dense ``cipher (s x m) @ plain (m x k)`` over flat residues.
+
+    Output column ``j`` is one multiexp block: its ``s`` outputs share
+    plain column ``j``'s mantissas.
+    """
     plain = np.asarray(plain, dtype=np.float64)
     m, k = plain.shape
-    nsq = public_key.nsquare
-    prod_exp = exponent + PLAIN_EXPONENT
     enc_cache: dict[float, int] = {}
-    jobs: list[tuple[int, int]] = []
-    groups: list[list[int]] = []  # output-column lists, one per s-sized block
-    for t in range(m):
-        row = plain[t]
-        nz = np.nonzero(row)[0]
-        if not nz.size:
-            continue
-        by_value: dict[float, list[int]] = {}
-        for j in nz.tolist():
-            by_value.setdefault(float(row[j]), []).append(j)
-        for v, cols in by_value.items():
-            mant = enc_cache.get(v)
-            if mant is None:
-                mant = _encode_mantissa(public_key, v, PLAIN_EXPONENT)
-                enc_cache[v] = mant
-            for i in range(s):
-                jobs.append((cts[i * m + t], mant))
-            groups.append(cols)
-    powered = raw_mul_many(public_key, jobs, parallel)
-    out = [1] * (s * k)
-    pos = 0
-    for cols in groups:
-        block = powered[pos : pos + s]
-        pos += s
-        for i in range(s):
-            pw = block[i]
-            ob = i * k
-            for j in cols:
-                out[ob + j] = (out[ob + j] * pw) % nsq
-    return out, prod_exp
+    cipher_cols = [range(t, t + s * m, m) for t in range(m)]
+    blocks = []
+    for col in plain.T.tolist():
+        nz = [(t, v) for t, v in enumerate(col) if v != 0.0]
+        blocks.append((
+            [_mantissa(public_key, enc_cache, v) for _, v in nz],
+            [cipher_cols[t] for t, _ in nz],
+        ))
+    by_col = multiexp(public_key, cts, blocks, s, parallel)
+    out = [by_col[j * s + i] for i in range(s) for j in range(k)]
+    return out, exponent + PLAIN_EXPONENT
 
 
 def sparse_matmul_cipher_flat(
@@ -527,19 +572,19 @@ def sparse_matmul_cipher_flat(
     exponent: int,
     parallel: ParallelContext | None = None,
 ) -> tuple[list[int], int]:
-    """CSR ``plain @ cipher``: cost proportional to nnz mulmods.
+    """CSR ``plain @ cipher``: cost proportional to nnz.
 
-    Exponentiations are deduplicated across the whole batch by
-    ``(column, value)``: every batch row multiplying cipher row ``col`` by
-    the same value reuses one powered block — for binary features each
-    touched column costs ``k`` pows total, however many rows hit it.
+    Batch row ``i`` is one multiexp block over its stored entries.  Binary
+    features all encode as ``2^32``, so the rows become plain products of
+    cipher rows raised to ``2^32`` once — per output or per ciphertext,
+    whichever is fewer.
     """
-    nsq = public_key.nsquare
-    prod_exp = exponent + PLAIN_EXPONENT
     enc_cache: dict[float, int] = {}
-    # (col, value) -> output rows that accumulate that powered block.
-    by_col_value: dict[tuple[int, float], list[int]] = {}
-    for i, (cols, vals) in enumerate(rows):
+    cipher_rows: dict[int, range] = {}
+    blocks = []
+    for cols, vals in rows:
+        mants: list[int] = []
+        bases: list[range] = []
         for col, v in zip(cols, vals):
             col = int(col)
             if col >= m:
@@ -547,29 +592,13 @@ def sparse_matmul_cipher_flat(
             fv = float(v)
             if fv == 0.0:
                 continue
-            by_col_value.setdefault((col, fv), []).append(i)
-    jobs: list[tuple[int, int]] = []
-    groups: list[list[int]] = []  # output-row lists, one per k-sized block
-    for (col, v), out_rows_for_block in by_col_value.items():
-        mant = enc_cache.get(v)
-        if mant is None:
-            mant = _encode_mantissa(public_key, v, PLAIN_EXPONENT)
-            enc_cache[v] = mant
-        base = col * k
-        for j in range(k):
-            jobs.append((cts[base + j], mant))
-        groups.append(out_rows_for_block)
-    powered = raw_mul_many(public_key, jobs, parallel)
-    out = [1] * (len(rows) * k)
-    pos = 0
-    for out_rows_for_block in groups:
-        block = powered[pos : pos + k]
-        pos += k
-        for i in out_rows_for_block:
-            ob = i * k
-            for j in range(k):
-                out[ob + j] = (out[ob + j] * block[j]) % nsq
-    return out, prod_exp
+            mants.append(_mantissa(public_key, enc_cache, fv))
+            row = cipher_rows.get(col)
+            if row is None:
+                row = cipher_rows[col] = range(col * k, col * k + k)
+            bases.append(row)
+        blocks.append((mants, bases))
+    return multiexp(public_key, cts, blocks, k, parallel), exponent + PLAIN_EXPONENT
 
 
 def sparse_t_matmul_flat(
@@ -611,10 +640,7 @@ def sparse_t_matmul_flat(
             by_value.setdefault(fv, []).append(target)
         base = i * k
         for v, targets in by_value.items():
-            mant = enc_cache.get(v)
-            if mant is None:
-                mant = _encode_mantissa(public_key, v, PLAIN_EXPONENT)
-                enc_cache[v] = mant
+            mant = _mantissa(public_key, enc_cache, v)
             for j in range(k):
                 jobs.append((cts[base + j], mant))
             groups.append(targets)

@@ -3,7 +3,10 @@
 Pure-Python replacements for the GMP routines the paper's implementation
 uses: Miller-Rabin primality testing, random prime generation, modular
 inverses and lcm.  ``pow`` with three arguments already gives us fast
-modular exponentiation on CPython.
+modular exponentiation on CPython; the two multi-exponentiation kernels
+built on it — Straus products of many powers (:func:`multiexp_blocks`)
+and fixed-base comb powers (:class:`FixedBaseComb`) — share the squarings
+a pow per term would repeat.
 
 When the optional ``gmpy2`` package is installed (``pip install
 .[fast]``), :func:`powmod` and :func:`invert` route through GMP instead —
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import os
 import random
+from operator import itemgetter
 
 try:  # pragma: no cover - exercised only when gmpy2 is installed
     import gmpy2 as _gmpy2
@@ -31,8 +35,11 @@ __all__ = [
     "lcm",
     "crt_pair",
     "powmod",
-    "powmod_base_many",
     "invert",
+    "batch_invmod",
+    "straus_window",
+    "multiexp_blocks",
+    "FixedBaseComb",
     "to_mpz",
     "have_gmpy2",
     "gmpy2_enabled",
@@ -87,21 +94,6 @@ def powmod(base: int, exp: int, mod: int) -> int:
     return pow(base, exp, mod)
 
 
-def powmod_base_many(base: int, exps, mod: int) -> list[int]:
-    """``[base ** e % mod for e in exps]`` with the base/modulus conversion
-    hoisted out of the loop on the gmpy2 fast path.
-
-    The λ-exponent blinding refill is exactly this shape — one fixed base
-    ``h = r0^n`` raised to a batch of short random exponents — as are the
-    fixed-ciphertext pow batteries of CRT decryption benchmarks.
-    """
-    if _GMPY2_ENABLED:
-        b = _gmpy2.mpz(base)
-        m = _gmpy2.mpz(mod)
-        return [int(_gmpy2.powmod(b, e, m)) for e in exps]
-    return [pow(base, e, mod) for e in exps]
-
-
 def invert(a: int, m: int) -> int:
     """Modular inverse via gmpy2 when enabled (raises if not invertible)."""
     if _GMPY2_ENABLED:
@@ -110,6 +102,202 @@ def invert(a: int, m: int) -> int:
         except ZeroDivisionError:
             raise ValueError("base is not invertible for the given modulus") from None
     return pow(a, -1, m)
+
+
+def batch_invmod(values, mod: int) -> list[int]:
+    """Inverses of every value mod ``mod`` from one modular inverse.
+
+    Montgomery's trick: invert the running product once, then peel the
+    individual inverses off with three multiplications each.  Raises
+    ``ValueError`` like :func:`invmod` if any value is not invertible.
+    """
+    prefix: list[int] = []
+    acc = 1
+    for v in values:
+        acc = acc * v % mod
+        prefix.append(acc)
+    if not prefix:
+        return []
+    inv = invmod(acc, mod)
+    out = [0] * len(prefix)
+    for i in range(len(prefix) - 1, 0, -1):
+        out[i] = inv * prefix[i - 1] % mod
+        inv = inv * values[i] % mod
+    out[0] = inv
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Multi-exponentiation.  Both kernels return exactly the residue a chain of
+# builtin pows would, so ciphertexts stay bit-identical; they only share
+# the work a pow-per-term loop repeats.
+
+
+def straus_window(uses: int, bases: int, bits: float, popcount: float) -> int:
+    """Window width for :func:`multiexp_blocks`.
+
+    ``uses`` is the number of (term, output) pairs, ``bases`` a bound on
+    the distinct bases, ``bits`` / ``popcount`` the mean exponent length
+    and weight.  A ``w``-bit window costs ``2^w - 2`` table entries per
+    base plus one multiply per nonzero window per use; squarings do not
+    depend on ``w``.  Single-bit exponents (binary features, lane shifts)
+    come out at ``w = 1``: no table beyond the base itself.
+    """
+    best_w, best_cost = 1, None
+    for w in range(1, 7):
+        windows = -(-bits // w) * (1.0 - 2.0**-w)
+        cost = bases * ((1 << w) - 2) + uses * min(popcount, windows)
+        if best_cost is None or cost < best_cost:
+            best_w, best_cost = w, cost
+    return best_w
+
+
+def multiexp_blocks(
+    bases, blocks, width: int, w: int, n: int, shift: int, mod: int
+) -> tuple[list[int], int]:
+    """Interleaved (Straus) products ``prod_t bases[row_t[l]] ** e_t % mod``.
+
+    ``blocks`` is a list of ``(mantissas, rows)``: the mantissas are
+    residues mod ``n`` shared by the block's ``width`` outputs, read as
+    signed exponents like ``raw_mul`` does (``m >= n // 2`` means
+    ``m - n``) and divided by ``2^shift`` — the caller has raised every
+    base to ``2^shift`` already.  ``rows[t]`` holds the ``width`` base
+    indices term ``t`` raises, one per output.  Every output of a block
+    shares one squaring chain over the block's longest exponent, visiting
+    only the ``w``-bit windows where some term has a nonzero digit; the
+    squarings between two such windows are one builtin ``pow(a, 2^s)``.
+    Each base's window table ``[1, c, c^2, .., c^(2^w-1)]`` is built on
+    first use and shared by every output that uses it.  Bases used with a
+    negative exponent are inverted once for the whole call
+    (:func:`batch_invmod`).
+
+    Returns the ``len(blocks) * width`` products, block by block, and the
+    squarings plus window multiplies spent.  That count is additive over
+    blocks, so sharded runs sum to the serial figure; table entries and
+    inversions are per call and counted by the caller.
+    """
+    half = n // 2
+    nb = len(bases)
+    neg = sorted({b for mants, rows in blocks for m, row in zip(mants, rows) if m >= half for b in row})
+    inv_of = dict(zip(neg, batch_invmod([bases[b] for b in neg], mod)))
+    tables: list[list[int] | None] = [None] * (2 * nb)
+    extra = (1 << w) - 2
+    mask = (1 << w) - 1
+    windows: dict[int, list[tuple[int, int]]] = {}
+    # (id(row), sign) -> the row's tables: callers reuse one row object for
+    # a base run that recurs across blocks, so it is looked up once.
+    row_tabs: dict[tuple[int, bool], list[list[int]]] = {}
+    out: list[int] = []
+    ops = 0
+    for mants, rows in blocks:
+        hits: list[tuple[int, list[list[int]], int]] = []
+        for m, row in zip(mants, rows):
+            if not m:
+                continue
+            negative = m >= half
+            tabs = row_tabs.get((id(row), negative))
+            if tabs is None:
+                tabs = row_tabs[(id(row), negative)] = []
+                for b in row:
+                    key = b + nb if negative else b
+                    tab = tables[key]
+                    if tab is None:
+                        c = inv_of[b] if negative else bases[b] % mod
+                        tab = [1, c]
+                        for _ in range(extra):
+                            tab.append(tab[-1] * c % mod)
+                        tables[key] = tab
+                    tabs.append(tab)
+            digits = windows.get(m)
+            if digits is None:
+                e = (n - m if negative else m) >> shift
+                digits = windows[m] = _nonzero_windows(e, w, mask)
+            for offset, d in digits:
+                hits.append((offset, tabs, d))
+        if not hits:
+            out.extend([1] * width)
+            continue
+        hits.sort(key=itemgetter(0), reverse=True)
+        accs = None
+        above = hits[0][0]
+        for offset, tabs, d in hits:
+            if accs is None:
+                accs = [tab[d] for tab in tabs]
+                continue
+            if offset != above:
+                # The squarings down to this window are one builtin pow per
+                # output: the same arithmetic, no Python loop per squaring.
+                accs = [pow(a, 1 << (above - offset), mod) for a in accs]
+                ops += (above - offset) * width
+                above = offset
+            if width == 1:
+                accs = [accs[0] * tabs[0][d] % mod]
+            else:
+                accs = [a * tab[d] % mod for a, tab in zip(accs, tabs)]
+            ops += width
+        if above:
+            accs = [pow(a, 1 << above, mod) for a in accs]
+            ops += above * width
+        out.extend(accs)
+    return out, ops
+
+
+def _nonzero_windows(e: int, w: int, mask: int) -> list[tuple[int, int]]:
+    """``(bit offset, digit)`` of every nonzero ``w``-bit window of ``e``."""
+    out = []
+    while e:
+        low = (e & -e).bit_length() - 1
+        shift = low - low % w
+        d = (e >> shift) & mask
+        out.append((shift, d))
+        e ^= d << shift
+    return out
+
+
+class FixedBaseComb:
+    """Fixed-base windowed powers ``base^x mod mod`` for ``x < 2^bits``.
+
+    Row ``i`` of the table holds ``base^(d * 2^(w*i))`` for every digit
+    ``d < 2^w``, so a power is one table lookup per nonzero base-``2^w``
+    digit of ``x`` multiplied together — about ``bits / w`` mulmods and no
+    squarings, against ``bits`` squarings for a builtin ``pow``.  The
+    table costs ``(2^w - 1)`` mulmods per row once per base.
+    """
+
+    __slots__ = ("base", "bits", "w", "mod", "rows")
+
+    def __init__(self, base: int, bits: int, mod: int):
+        self.base = base
+        self.bits = bits
+        self.mod = mod
+        # Digit width from the exponent size: 8 at λ = 128 (16 rows).
+        self.w = w = max(1, min(8, bits.bit_length()))
+        self.rows: list[list[int]] = []
+        g = base % mod
+        for _ in range(-(-bits // w)):
+            row = [1, g]
+            for _ in range((1 << w) - 2):
+                row.append(row[-1] * g % mod)
+            self.rows.append(row)
+            g = row[-1] * g % mod
+
+    def pow_many(self, exps) -> list[int]:
+        """``[base ** x % mod for x in exps]``; each ``x`` in ``[0, 2^bits)``."""
+        w, mask, mod, rows = self.w, (1 << self.w) - 1, self.mod, self.rows
+        out: list[int] = []
+        for x in exps:
+            if x >> self.bits:
+                raise ValueError(f"exponent exceeds the comb's {self.bits} bits")
+            acc = 1
+            i = 0
+            while x:
+                d = x & mask
+                if d:
+                    acc = acc * rows[i][d] % mod
+                x >>= w
+                i += 1
+            out.append(acc)
+        return out
 
 # Deterministic witnesses make Miller-Rabin exact for n < 3.3e24; beyond
 # that we add random rounds for a negligible error probability.

@@ -75,7 +75,7 @@ import numpy as np
 
 from repro.crypto import kernels
 from repro.crypto.crypto_tensor import CryptoTensor
-from repro.crypto.kernels import PLAIN_EXPONENT, TENSOR_EXPONENT, raw_mul_many
+from repro.crypto.kernels import PLAIN_EXPONENT, TENSOR_EXPONENT, multiexp, raw_mul_many
 from repro.crypto.math_utils import invmod
 from repro.crypto.paillier import EncryptedNumber, PaillierPublicKey
 from repro.crypto.parallel import ParallelContext
@@ -485,31 +485,27 @@ def pack_rows_flat(
 
     ``cts`` is a row-major ``rows x cols`` batch at one uniform exponent;
     each output ciphertext is ``prod_j ct_j ** 2**(slot_bits * j)`` over a
-    run of ``slots`` elements.  Lane 0 is free (exponent 1); higher lanes
-    cost one modexp each with exponents up to ``slot_bits * (slots - 1)``
-    bits — still far below a blinding exponentiation.
+    run of ``slots`` elements, evaluated as one multiexp: a Horner chain of
+    ``slot_bits * (slots - 1)`` squarings plus one multiply per lane.
     """
     if len(cts) != rows * cols:
         raise ValueError("ciphertext count does not match rows x cols")
-    nsq = public_key.nsquare
     slot_bits, slots = layout.slot_bits, layout.slots
-    jobs: list[tuple[int, int]] = []
-    for r in range(rows):
-        base = r * cols
-        for start in range(0, cols, slots):
-            for j in range(min(slots, cols - start)):
-                jobs.append((cts[base + start + j], 1 << (slot_bits * j)))
-    powered = raw_mul_many(public_key, jobs, parallel)
-    out: list[int] = []
-    pos = 0
-    for r in range(rows):
-        for start in range(0, cols, slots):
-            width = min(slots, cols - start)
-            acc = 1
-            for j in range(width):
-                acc = (acc * powered[pos + j]) % nsq
-            pos += width
-            out.append(acc)
+    # One multiexp block per lane run: its outputs are the rows, all
+    # sharing the lane shifts, so the squarings form one Horner chain.
+    starts = range(0, cols, slots)
+    blocks = [
+        (
+            [1 << (slot_bits * j) for j in range(min(slots, cols - start))],
+            [
+                range(start + j, start + j + rows * cols, cols)
+                for j in range(min(slots, cols - start))
+            ],
+        )
+        for start in starts
+    ]
+    by_run = multiexp(public_key, cts, blocks, rows, parallel)
+    out = [by_run[g * rows + r] for r in range(rows) for g in range(len(starts))]
     trc = _obs.get_tracer()
     if trc is not None:
         trc.add("ct.packed", len(out))
@@ -583,7 +579,7 @@ def pack_shift_flat(
     return pack_scalar_mul_flat(public_key, cts, 1 << shift_bits, parallel)
 
 
-def _encode_plain_dedup(
+def _encode_plain(
     public_key: PaillierPublicKey, enc_cache: dict, v: float
 ) -> tuple[int, int]:
     """Residue + signed magnitude bits of a plaintext multiplier, cached."""
@@ -596,37 +592,8 @@ def _encode_plain_dedup(
     return cached
 
 
-def _accumulate_blocks(
-    public_key: PaillierPublicKey,
-    cts: Sequence[int],
-    blocks: Sequence[tuple[int, int, Sequence[int]]],
-    out_rows: int,
-    cpr: int,
-    parallel: ParallelContext | None,
-) -> list[int]:
-    """Shared matmul core: power each cipher-row block once, scatter-mulmod.
-
-    ``blocks`` is ``(ct_base_index, mantissa_residue, output_rows)`` — one
-    entry per distinct (cipher row, plaintext value) pair, `cpr` packed
-    ciphertexts wide.  This is where the slot-count saving lands: the job
-    list is ``cpr`` long per block instead of the logical column count.
-    """
-    nsq = public_key.nsquare
-    jobs: list[tuple[int, int]] = []
-    for base, mant, _ in blocks:
-        for b in range(cpr):
-            jobs.append((cts[base + b], mant))
-    powered = raw_mul_many(public_key, jobs, parallel)
-    out = [1] * (out_rows * cpr)
-    pos = 0
-    for _, _, rows_for_block in blocks:
-        block = powered[pos : pos + cpr]
-        pos += cpr
-        for i in rows_for_block:
-            ob = i * cpr
-            for b in range(cpr):
-                out[ob + b] = (out[ob + b] * block[b]) % nsq
-    return out
+def _max_plain_bits(enc_cache: dict) -> int:
+    return max([1] + [bits for _, bits in enc_cache.values()])
 
 
 def pack_matmul_plain_cipher_flat(
@@ -640,33 +607,29 @@ def pack_matmul_plain_cipher_flat(
     """Dense ``plain (s x m) @ packed-cipher (m rows x cpr cts)``.
 
     The cipher rows are packed along the *output* dimension, so each
-    plaintext entry multiplies a whole row segment at once; the same
-    per-column raw-mul dedup as the unpacked kernel applies on top.
+    plaintext entry multiplies a whole row segment at once: output row
+    ``i`` is one multiexp block ``cpr`` ciphertexts wide.
 
     Returns ``(out_cts, prod_exponent, max_plain_bits, max_terms)`` — the
     last two feed the caller's lane-overflow bookkeeping.
     """
     plain = np.asarray(plain, dtype=np.float64)
-    s, m = plain.shape
     enc_cache: dict[float, tuple[int, int]] = {}
-    max_plain_bits = 1
-    blocks: list[tuple[int, int, list[int]]] = []
-    for t in range(m):
-        col = plain[:, t]
-        nz = np.nonzero(col)[0]
-        if not nz.size:
-            continue
-        by_value: dict[float, list[int]] = {}
-        for i in nz.tolist():
-            by_value.setdefault(float(col[i]), []).append(i)
-        for v, rows_for_value in by_value.items():
-            mant, bits = _encode_plain_dedup(public_key, enc_cache, v)
-            if bits > max_plain_bits:
-                max_plain_bits = bits
-            blocks.append((t * cpr, mant, rows_for_value))
-    out = _accumulate_blocks(public_key, cts, blocks, s, cpr, parallel)
-    max_terms = int(np.count_nonzero(plain, axis=1).max(initial=0))
-    return out, exponent + PLAIN_EXPONENT, max_plain_bits, max_terms
+    max_terms = 0
+    cipher_rows = [range(t * cpr, t * cpr + cpr) for t in range(plain.shape[1])]
+    blocks = []
+    for row in plain.tolist():
+        mants: list[int] = []
+        bases: list[range] = []
+        for t, v in enumerate(row):
+            if v == 0.0:
+                continue
+            mants.append(_encode_plain(public_key, enc_cache, v)[0])
+            bases.append(cipher_rows[t])
+        max_terms = max(max_terms, len(mants))
+        blocks.append((mants, bases))
+    out = multiexp(public_key, cts, blocks, cpr, parallel)
+    return out, exponent + PLAIN_EXPONENT, _max_plain_bits(enc_cache), max_terms
 
 
 def pack_sparse_matmul_cipher_flat(
@@ -678,10 +641,14 @@ def pack_sparse_matmul_cipher_flat(
     exponent: int,
     parallel: ParallelContext | None = None,
 ) -> tuple[list[int], int, int, int]:
-    """CSR ``plain @ packed-cipher`` with batch-wide ``(col, value)`` dedup."""
-    by_col_value: dict[tuple[int, float], list[int]] = {}
-    terms = [0] * len(rows)
-    for i, (cols, vals) in enumerate(rows):
+    """CSR ``plain @ packed-cipher``: one multiexp block per batch row."""
+    enc_cache: dict[float, tuple[int, int]] = {}
+    max_terms = 0
+    cipher_rows: dict[int, range] = {}
+    blocks = []
+    for cols, vals in rows:
+        mants: list[int] = []
+        bases: list[range] = []
         for col, v in zip(cols, vals):
             col = int(col)
             if col >= m:
@@ -689,18 +656,15 @@ def pack_sparse_matmul_cipher_flat(
             fv = float(v)
             if fv == 0.0:
                 continue
-            terms[i] += 1
-            by_col_value.setdefault((col, fv), []).append(i)
-    enc_cache: dict[float, tuple[int, int]] = {}
-    max_plain_bits = 1
-    blocks: list[tuple[int, int, list[int]]] = []
-    for (col, v), out_rows_for_block in by_col_value.items():
-        mant, bits = _encode_plain_dedup(public_key, enc_cache, v)
-        if bits > max_plain_bits:
-            max_plain_bits = bits
-        blocks.append((col * cpr, mant, out_rows_for_block))
-    out = _accumulate_blocks(public_key, cts, blocks, len(rows), cpr, parallel)
-    return out, exponent + PLAIN_EXPONENT, max_plain_bits, max(terms, default=0)
+            mants.append(_encode_plain(public_key, enc_cache, fv)[0])
+            row = cipher_rows.get(col)
+            if row is None:
+                row = cipher_rows[col] = range(col * cpr, col * cpr + cpr)
+            bases.append(row)
+        max_terms = max(max_terms, len(mants))
+        blocks.append((mants, bases))
+    out = multiexp(public_key, cts, blocks, cpr, parallel)
+    return out, exponent + PLAIN_EXPONENT, _max_plain_bits(enc_cache), max_terms
 
 
 # ---------------------------------------------------------------------------
@@ -1398,7 +1362,7 @@ def pack_matmul_plain_cipher(
     pt: PackedCryptoTensor,
     parallel: ParallelContext | None = None,
 ) -> PackedCryptoTensor:
-    """Dense ``plain (s x m) @ packed (m x k)`` with zero-skipping + dedup."""
+    """Dense ``plain (s x m) @ packed (m x k)`` with zero-skipping."""
     if pt.contiguous:
         raise TypeError("matmul needs row-aligned lanes, not a contiguous pack")
     plain = np.atleast_2d(np.asarray(plain, dtype=np.float64))

@@ -32,7 +32,7 @@ import random
 from collections import deque
 
 from repro.crypto.encoding import EncodedNumber
-from repro.crypto.math_utils import generate_prime, invmod, powmod, powmod_base_many
+from repro.crypto.math_utils import FixedBaseComb, generate_prime, invmod, powmod
 from repro.obs import tracer as _obs
 
 __all__ = [
@@ -63,7 +63,7 @@ class PaillierPublicKey:
 
     __slots__ = (
         "n", "nsquare", "max_int", "_rng", "key_bits", "_blind_pool",
-        "blinding_lambda", "_h",
+        "blinding_lambda", "_h", "_comb",
     )
 
     def __init__(
@@ -92,6 +92,9 @@ class PaillierPublicKey:
         # so key construction stays cheap and the seeded rng stream is the
         # same whether blinders come from the pool or on demand.
         self._h: int | None = None
+        # Fixed-base comb table for h (see _lambda_comb): derived public
+        # state, never drawn from the rng, checkpointed or sent.
+        self._comb: FixedBaseComb | None = None
 
     # -- raw integer layer --------------------------------------------------
 
@@ -122,12 +125,14 @@ class PaillierPublicKey:
 
         Already-pooled blinders stay valid (both modes produce n-th powers)
         and drain FIFO before the new mode computes anything; the λ base
-        ``h`` is re-drawn on next use so a mode flip never reuses state.
+        ``h`` and its comb table are re-built on next use so a mode flip
+        never reuses state.
         """
         if blinding_lambda < 0:
             raise ValueError("blinding_lambda must be non-negative (0 = classic)")
         self.blinding_lambda = blinding_lambda
         self._h = None
+        self._comb = None
 
     def _ensure_h(self) -> int:
         """The λ-shortcut base ``h = r0^n mod n^2`` (one pow per key)."""
@@ -138,6 +143,19 @@ class PaillierPublicKey:
             if trc is not None:
                 trc.add("pow.blind.classic", 1)
         return self._h
+
+    def _lambda_comb(self) -> FixedBaseComb:
+        """The comb table for ``h`` at the current λ, built once per ``h``.
+
+        Keyed on ``(h, λ)`` rather than trusted blindly, so a checkpoint
+        restore that sets ``_h`` directly can never pair a stale table
+        with a new base.
+        """
+        h = self._ensure_h()
+        comb = self._comb
+        if comb is None or comb.base != h or comb.bits != self.blinding_lambda:
+            comb = self._comb = FixedBaseComb(h, self.blinding_lambda, self.nsquare)
+        return comb
 
     def _random_blinding(self) -> int:
         trc = _obs.get_tracer()
@@ -178,7 +196,8 @@ class PaillierPublicKey:
             # λ-exponent shortcut: h^x for random λ-bit x (x >= 1 so a
             # degenerate blinder of 1 can never be drawn).  h^x is an n-th
             # power, so the ciphertext stays a valid re-randomisation; the
-            # per-blinder exponent drops from key_bits to λ.
+            # fixed-base comb evaluates it in about λ/w mulmods, the same
+            # residue a builtin pow would return.
             h = self._ensure_h()
             # Counted at the dispatch site (exponent class is known here),
             # so serial and pool execution count identically by construction.
@@ -187,8 +206,8 @@ class PaillierPublicKey:
             top = 1 << self.blinding_lambda
             exps = [self._rng.randrange(1, top) for _ in range(count)]
             if parallel is not None and parallel.should_parallelize(count):
-                return parallel.pow_base_many(self, h, exps)
-            return powmod_base_many(h, exps, self.nsquare)
+                return parallel.comb_pow_many(self, h, self.blinding_lambda, exps)
+            return self._lambda_comb().pow_many(exps)
         if trc is not None:
             trc.add("pow.blind.classic", count)
         bases = [self._draw_blinding_base() for _ in range(count)]

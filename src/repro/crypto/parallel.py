@@ -1,10 +1,11 @@
 """Multicore execution engine for the flat ciphertext kernels.
 
-The expensive step of every CryptoTensor primitive is a modular
-exponentiation over ``Z_{n^2}`` — ``pow(c, m, n^2)`` for plaintext products
-and ``pow(r, n, n^2)`` for obfuscation blinders.  Those exponentiations are
-embarrassingly parallel and carry no shared state beyond the public modulus,
-so :class:`ParallelContext` shards them across a ``multiprocessing`` pool:
+The expensive step of every CryptoTensor primitive is modular arithmetic
+over ``Z_{n^2}`` — multi-exponentiations for contractions, ``pow(c, m,
+n^2)`` for elementwise products, comb-evaluated ``h^x`` and ``pow(r, n,
+n^2)`` for obfuscation blinders.  That work is embarrassingly parallel
+across outputs and carries no shared state beyond the public modulus, so
+:class:`ParallelContext` shards it across a ``multiprocessing`` pool:
 
 * workers receive ``(n, n^2)`` **once**, through the pool initializer, and
   thereafter only chunks of integer limbs travel over the pipe;
@@ -55,7 +56,7 @@ import multiprocessing
 import os
 from typing import Iterator, Sequence
 
-from repro.crypto.math_utils import invmod, powmod, powmod_base_many
+from repro.crypto.math_utils import FixedBaseComb, invmod, multiexp_blocks, powmod
 from repro.obs import tracer as _obs
 
 __all__ = [
@@ -119,16 +120,35 @@ def _pow_n_chunk(bases: Sequence[int]) -> list[int]:
     return [powmod(r, n, nsq) for r in bases]
 
 
-def _pow_base_chunk(args: tuple[int, Sequence[int]]) -> list[int]:
-    """Chunk kernel: fixed-base pows ``x -> base^x mod n^2``.
+def _multiexp_chunk(
+    args: tuple[Sequence[int], Sequence, int, int, int],
+) -> tuple[list[int], int]:
+    """Chunk kernel: a shard of multiexp blocks (see ``kernels.multiexp``).
 
-    The λ-exponent blinding refill: every exponent shares the precomputed
-    base ``h = r0^n``, so the base crosses the pipe once per chunk (not
-    once per blinder) and the modular-arithmetic conversions hoist out of
-    the loop on the gmpy2 fast path.
+    Returns the products plus the shard's squarings and window multiplies;
+    those add up across shards to the serial count.
     """
-    base, exps = args
-    return powmod_base_many(base, exps, _W_NSQ)
+    bases, blocks, width, w, shift = args
+    return multiexp_blocks(bases, blocks, width, w, _W_N, shift, _W_NSQ)
+
+
+# Comb tables for λ-blinding bases, built once per worker and reused by
+# every later refill chunk under the same base.
+_W_COMBS: dict[tuple[int, int], FixedBaseComb] = {}
+
+
+def _comb_chunk(args: tuple[int, int, Sequence[int]]) -> list[int]:
+    """Chunk kernel: fixed-base powers ``base^x mod n^2`` (λ blinders).
+
+    The base ``h = r0^n`` crosses the pipe once per chunk; its comb table
+    is built on the worker's first chunk and cached for the next.
+    """
+    base, bits, exps = args
+    comb = _W_COMBS.get((base, bits))
+    if comb is None:
+        _W_COMBS.clear()
+        comb = _W_COMBS[(base, bits)] = FixedBaseComb(base, bits, _W_NSQ)
+    return comb.pow_many(exps)
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +316,43 @@ class ParallelContext:
         """Parallel obfuscation blinders ``r^n mod n^2``."""
         return self._map(_pow_n_chunk, public_key, bases)
 
-    def pow_base_many(self, public_key, base: int, exps: Sequence[int]) -> list[int]:
+    def multiexp(
+        self,
+        public_key,
+        bases: Sequence[int],
+        blocks: Sequence,
+        width: int,
+        w: int,
+        shift: int,
+    ) -> tuple[list[int], int]:
+        """Parallel multiexp: blocks (whole outputs) shard across workers.
+
+        Each task carries the base list and its blocks; a worker builds the
+        window tables its blocks need.  Returns the products and the summed
+        squaring/multiply count; the caller counts tables and inversions
+        once, as the serial path would.
+        """
+        pool = self._ensure_pool(public_key.n, public_key.nsquare)
+        tasks = [
+            (bases, chunk, width, w, shift)
+            for chunk in self._chunks(blocks, self.workers * 2)
+        ]
+        out: list[int] = []
+        ops = 0
+        for part, chunk_ops in pool.map(_multiexp_chunk, tasks):
+            out.extend(part)
+            ops += chunk_ops
+        return out, ops
+
+    def comb_pow_many(
+        self, public_key, base: int, bits: int, exps: Sequence[int]
+    ) -> list[int]:
         """Parallel fixed-base ``base^x mod n^2`` (λ-shortcut blinders)."""
         pool = self._ensure_pool(public_key.n, public_key.nsquare)
         out: list[int] = []
         for part in pool.map(
-            _pow_base_chunk,
-            [(base, chunk) for chunk in self._chunks(exps, self.workers * 4)],
+            _comb_chunk,
+            [(base, bits, chunk) for chunk in self._chunks(exps, self.workers * 4)],
         ):
             out.extend(part)
         return out

@@ -10,10 +10,14 @@ informational; counters are exact and reproducible for a seeded run.
 
 Counter taxonomy (see ROADMAP.md "Telemetry" for full definitions):
 
-- ``pow.mul``            modpows with mantissa-sized exponents (raw_mul)
+- ``pow.mul``            modpows with mantissa-sized exponents (raw_mul:
+                         elementwise/scalar products and ``X.T @ cipher``)
+- ``mulmod.multiexp``    mulmods of the contraction kernels (multiexp):
+                         squarings, window multiplies, table entries and
+                         inverted bases
 - ``pow.shift``          exponent-alignment shift multiplies
 - ``pow.crt``            CRT half-size decrypt pows (2 per ciphertext)
-- ``pow.blind.lambda``   λ-bit blinding exponentiations
+- ``pow.blind.lambda``   λ blinders drawn (comb-evaluated ``h^x``)
 - ``pow.blind.classic``  full ``r^n`` blinding pows (incl. the one-time h)
 - ``ct.encrypted`` / ``ct.decrypted`` / ``ct.packed``   ciphertext flow
 - ``pool.hit`` / ``pool.miss``                          blinding pool

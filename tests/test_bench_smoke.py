@@ -28,6 +28,16 @@ def test_kernel_path_not_slower_than_legacy():
     assert results["sparse_matmul"]["bwd_speedup"] >= run_bench.MIN_SPEEDUP
 
 
+def test_multiexp_count_gate_holds():
+    """Counted mulmods: multiexp >= 3x under a pow per term, every row."""
+    rows = run_bench.check_kernels()
+    assert {(r["key_bits"], r["terms"]) for r in rows} == {
+        (bits, terms) for bits in (256, 1024, 2048) for terms in (8, 16, 32)
+    }
+    for row in rows:
+        assert row["reduction"] >= run_bench.MIN_MULTIEXP_MULMOD_REDUCTION
+
+
 def test_bench_json_roundtrips(tmp_path):
     import bench_kernels
 

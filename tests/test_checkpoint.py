@@ -157,6 +157,23 @@ def test_checkpoint_file_contains_no_private_key_material(train_vd, tmp_path):
     assert _prime_bytes(ctx.B.private_key)[0] in leaked
 
 
+def _int_bytes(x: int) -> bytes:
+    return x.to_bytes((x.bit_length() + 7) // 8, "big")
+
+
+def test_comb_table_is_derived_not_checkpointed(train_vd, tmp_path):
+    """The λ base ``h`` is on disk; its comb table is rebuilt, never stored."""
+    path = str(tmp_path / "comb.ckpt")
+    model = _train_to_checkpoint(train_vd, path)
+    blob = open(path, "rb").read()
+    keys = [k for k in model_key_ring(model).values() if k._comb is not None]
+    assert keys, "training drew no λ blinders"
+    for key in keys:
+        assert _int_bytes(key._h) in blob
+        for row in key._comb.rows[1:3]:
+            assert _int_bytes(row[3]) not in blob
+
+
 def test_checkpoint_frame_encoder_refuses_private_keys():
     """The disk format is codec frames, so the codec's refusal IS the
     custody guard: a private key (or carrier) cannot be framed at all."""

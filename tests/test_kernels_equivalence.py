@@ -10,11 +10,15 @@ mul-by-one shortcut).
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.crypto.crypto_tensor import (
-    CryptoTensor,
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+
+from legacy_object_path import (  # noqa: E402  (path bootstrap above)
     legacy_encrypt,
     legacy_matmul_cipher_plain,
     legacy_matmul_plain_cipher,
@@ -22,6 +26,9 @@ from repro.crypto.crypto_tensor import (
     legacy_obfuscate,
     legacy_scatter_add_rows,
     legacy_sparse_t_matmul_cipher,
+)
+from repro.crypto.crypto_tensor import (  # noqa: E402
+    CryptoTensor,
     matmul_cipher_plain,
     matmul_plain_cipher,
     sparse_matmul_cipher,

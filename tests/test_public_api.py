@@ -83,3 +83,17 @@ def test_multiparty_lr_wrapper_trains():
     assert losses[-1] < losses[0]
     logits = model.forward(x, train=False)
     assert logits.shape == (96, 1)
+
+
+def test_legacy_object_path_lives_outside_the_package():
+    """The per-EncryptedNumber reference loops are a test/bench oracle,
+    not package API: nothing under ``repro.crypto`` exports them."""
+    import sys
+    from pathlib import Path
+
+    crypto_tensor = importlib.import_module("repro.crypto.crypto_tensor")
+    assert not [n for n in dir(crypto_tensor) if n.startswith("legacy_")]
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+    oracle = importlib.import_module("legacy_object_path")
+    assert all(name.startswith("legacy_") for name in oracle.__all__)
+    assert {"legacy_matmul_plain_cipher", "legacy_encrypt"} <= set(oracle.__all__)
